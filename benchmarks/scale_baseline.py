@@ -4,8 +4,6 @@
 at the roadmap's target scale — **1000 ranks, 128 PVFS servers** — so the
 kernel's behaviour with tens of thousands of pending events is pinned by
 CI, not just the small-configuration numbers in ``BENCH_engine.json``.
-(The calendar-queue resize re-anchoring bug only manifested at this kind
-of scale: small runs never resized with in-flight pushes.)
 
 Two strategies cover the two event-population shapes:
 
@@ -50,13 +48,12 @@ NRANKS = 1000
 NSERVERS = 128
 
 
-def _run_once(strategy: str, nfragments: int, scheduler: str) -> tuple:
+def _run_once(strategy: str, nfragments: int) -> tuple:
     cfg = SimulationConfig(
         nprocs=NRANKS,
         nqueries=1,
         nfragments=nfragments,
         strategy=strategy,
-        scheduler=scheduler,
         pvfs=PVFSConfig(nservers=NSERVERS),
     )
     app = S3aSim(cfg)
@@ -68,12 +65,12 @@ def _run_once(strategy: str, nfragments: int, scheduler: str) -> tuple:
     return wall, nevents
 
 
-def bench_strategy(strategy: str, nfragments: int, scheduler: str = "heap") -> dict:
+def bench_strategy(strategy: str, nfragments: int) -> dict:
     """Best-of-N wall seconds and the derived events/s for one strategy."""
     best_wall = float("inf")
     nevents = 0
     for _ in range(REPEATS):
-        wall, nevents = _run_once(strategy, nfragments, scheduler)
+        wall, nevents = _run_once(strategy, nfragments)
         best_wall = min(best_wall, wall)
     return {"wall_s": best_wall, "events_per_s": nevents / best_wall}
 
@@ -81,7 +78,6 @@ def bench_strategy(strategy: str, nfragments: int, scheduler: str = "heap") -> d
 def measure() -> dict:
     mw = bench_strategy("mw", nfragments=1000)
     ww = bench_strategy("ww-posix", nfragments=250)
-    ww_cal = bench_strategy("ww-posix", nfragments=250, scheduler="calendar")
     return {
         "mw_1000r_wall_s": {"value": mw["wall_s"], "higher_is_better": False},
         "mw_1000r_events_per_s": {
@@ -91,10 +87,6 @@ def measure() -> dict:
         "ww_posix_1000r_wall_s": {"value": ww["wall_s"], "higher_is_better": False},
         "ww_posix_1000r_events_per_s": {
             "value": ww["events_per_s"],
-            "higher_is_better": True,
-        },
-        "ww_posix_1000r_calendar_events_per_s": {
-            "value": ww_cal["events_per_s"],
             "higher_is_better": True,
         },
     }

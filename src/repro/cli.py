@@ -135,13 +135,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "zero-cost in simulated time, aborts on the first violation",
     )
     parser.add_argument(
-        "--scheduler",
-        choices=["heap", "calendar"],
-        default="heap",
-        help="event-queue backend: heap (default) or calendar (O(1) "
-        "calendar queue; bit-identical results, faster at scale)",
-    )
-    parser.add_argument(
         "--fluid-threshold-kib",
         type=float,
         default=None,
@@ -259,7 +252,6 @@ def _config_from(args: argparse.Namespace) -> SimulationConfig:
         pvfs=preset.pvfs,
         store_data=args.store_data,
         check=getattr(args, "check", False),
-        scheduler=getattr(args, "scheduler", "heap"),
     )
     if args.seed is not None:
         kwargs["seed"] = args.seed

@@ -243,12 +243,11 @@ class TestFluidAccounting:
 
 
 class TestFluidEndToEnd:
-    def test_full_run_completes_with_fluid_and_calendar(self):
-        """A whole S3aSim run with both tentpole features on: completes,
-        output file dense, invariants clean."""
+    @staticmethod
+    def _fluid_mw_config():
         from dataclasses import replace
 
-        from repro.core import S3aSim, SimulationConfig
+        from repro.core import SimulationConfig
 
         base = SimulationConfig(
             nprocs=4, nqueries=2, nfragments=8, strategy="mw", check=True
@@ -256,18 +255,40 @@ class TestFluidEndToEnd:
         # Lower the eager threshold so the worker→master result payloads
         # go rendezvous (the only path that reaches Network.transfer) and
         # thus exercise the fluid model inside a full application run.
-        cfg = base.with_(
-            scheduler="calendar",
+        return base.with_(
             network=replace(
                 base.network, eager_threshold_B=2048, fluid_threshold_B=4096
             ),
         )
-        app = S3aSim(cfg)
+
+    def test_full_run_completes_with_fluid(self):
+        """A whole S3aSim run with fluid transfers on: completes, output
+        file dense, invariants clean."""
+        from repro.core import S3aSim
+
+        app = S3aSim(self._fluid_mw_config())
         result = app.run()
         assert result.file_stats.complete
         assert app.world.network.flows is not None
         # The bulk result writes are big enough to ride the fluid path.
         assert app.world.network.flows.flows_finished > 0
+
+    def test_fluid_run_twice_is_bit_identical(self):
+        from repro.core import S3aSim
+
+        def fingerprint():
+            app = S3aSim(self._fluid_mw_config())
+            result = app.run()
+            return (
+                result.elapsed,
+                tuple(sorted(result.master.as_dict().items())),
+                tuple(tuple(sorted(w.as_dict().items())) for w in result.workers),
+                result.file_stats,
+                tuple(sorted(result.server_stats.items())),
+                next(app.world.env._eid),
+            )
+
+        assert fingerprint() == fingerprint()
 
     def test_fluid_matches_packet_byte_totals(self):
         """Fluid mode changes timing, never payload byte totals."""

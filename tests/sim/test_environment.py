@@ -1,8 +1,10 @@
 """Environment edge cases: scheduling, stepping, introspection."""
 
+import random
+
 import pytest
 
-from repro.sim import EmptySchedule, Environment, SimulationError
+from repro.sim import EmptySchedule, Environment, SimulationError, Store
 
 
 @pytest.fixture
@@ -98,6 +100,111 @@ class TestSameTimeOrdering:
             t.callbacks.append(lambda e: order.append(e.value))
         env.run()
         assert order == ["a", "b", "c"]
+
+
+class TestTraces:
+    """Pinned event orders of small mixed workloads."""
+
+    def test_basic_run(self, env):
+        trace = []
+
+        def proc(env, name, delays):
+            for d in delays:
+                yield env.timeout(d)
+                trace.append((env.now, name))
+
+        env.process(proc(env, "a", [1, 2, 3]))
+        env.process(proc(env, "b", [2, 2, 2]))
+        env.run()
+        assert trace == [
+            (1, "a"), (2, "b"), (3, "a"), (4, "b"), (6, "a"), (6, "b")
+        ]
+
+    def test_urgent_mid_batch(self, env):
+        """A process spawned mid-timestamp runs its URGENT init before the
+        NORMAL events already queued at that time."""
+        trace = []
+
+        def child(env):
+            trace.append((env.now, "child"))
+            yield env.timeout(1)
+            trace.append((env.now, "child-end"))
+
+        def spawner(env):
+            yield env.timeout(2)
+            trace.append((env.now, "spawn"))
+            env.process(child(env))
+            yield env.timeout(0)
+            trace.append((env.now, "after"))
+
+        def bystander(env):
+            yield env.timeout(2)
+            trace.append((env.now, "bystander"))
+
+        env.process(spawner(env))
+        env.process(bystander(env))
+        env.run()
+        assert trace == [
+            (2, "spawn"),
+            (2, "child"),
+            (2, "bystander"),
+            (2, "after"),
+            (3, "child-end"),
+        ]
+
+    @staticmethod
+    def _mixed_workload(env, trace, seed):
+        """Timers, same-time collisions, zero delays, stores, conditions."""
+        rng = random.Random(seed)
+        store = Store(env)
+
+        def timer(env, name):
+            for _ in range(rng.randrange(1, 6)):
+                yield env.timeout(round(rng.uniform(0, 5), 1))
+                trace.append((env.now, "t", name))
+
+        def producer(env):
+            for i in range(10):
+                yield env.timeout(0.5)
+                yield store.put(i)
+
+        def consumer(env, name):
+            for _ in range(5):
+                item = yield store.get()
+                trace.append((env.now, "c", name, item))
+                yield env.timeout(0)  # zero-delay cascade
+
+        def waiter(env):
+            t1 = env.timeout(2.0, "x")
+            t2 = env.timeout(2.0, "y")
+            got = yield t1 | t2
+            trace.append((env.now, "w", len(got.events)))
+
+        for i in range(8):
+            env.process(timer(env, i))
+        env.process(producer(env))
+        env.process(consumer(env, "c1"))
+        env.process(consumer(env, "c2"))
+        env.process(waiter(env))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_split_run_matches_single_run(self, seed):
+        """Stopping at times and resuming must not perturb the event order:
+        same trace, same final clock, and the same events plus exactly one
+        stopper event per ``run(until=t)``."""
+        single_env, single = Environment(), []
+        self._mixed_workload(single_env, single, seed)
+        single_env.run()
+
+        split_env, split = Environment(), []
+        self._mixed_workload(split_env, split, seed)
+        split_env.run(until=1.5)
+        split_env.run(until=3.0)
+        split_env.run()
+
+        assert split == single
+        assert split_env.now == single_env.now > 3.0
+        assert next(split_env._eid) == next(single_env._eid) + 2
 
 
 class TestRunUntilFailedEvent:
