@@ -3,15 +3,17 @@
 Two separate "hybrid" ideas share this module:
 
 * the paper's named future-work item, "hybrid query segmentation/database
-  segmentation strategies" — partition-count sweeps below; and
+  segmentation strategies" — ``--masters K`` on a closed batch, swept over
+  the partition count below; and
 * the adaptive per-query selector (``--strategy hybrid-auto``), measured
   against every static strategy on a mixed workload.
 """
 
 import pytest
 
-from repro.core import HybridS3aSim, SimulationConfig, run_simulation
+from repro.core import SimulationConfig, run_simulation
 from repro.core.strategies import STRATEGIES
+from repro.shard import ShardConfig, run_sharded
 from repro.workload.results import ResultModel
 
 from conftest import write_output
@@ -91,8 +93,8 @@ def test_hybrid_partition_sweep(benchmark, strategy):
     def sweep():
         rows = {1: run_simulation(cfg).elapsed}
         for k in (2, 4):
-            result = HybridS3aSim(cfg, k).run()
-            assert result.complete
+            result = run_sharded(cfg.with_(shard=ShardConfig(nshards=k)))
+            assert result.file_stats.complete
             rows[k] = result.elapsed
         return rows
 
@@ -118,7 +120,7 @@ def test_hybrid_helps_collective_more_than_individual(benchmark):
         for strategy in ("ww-coll", "ww-list"):
             cfg = SimulationConfig(nprocs=NPROCS, strategy=strategy, **WORKLOAD)
             pure = run_simulation(cfg).elapsed
-            split = HybridS3aSim(cfg, 2).run().elapsed
+            split = run_sharded(cfg.with_(shard=ShardConfig(nshards=2))).elapsed
             out[strategy] = split / pure
         return out
 

@@ -4,15 +4,16 @@
 Section 5 of the paper names "hybrid query segmentation/database
 segmentation strategies" as future work.  This example runs the same
 workload as (a) one database-segmented job spanning the whole machine and
-(b) hybrid jobs with 2 and 4 independent partitions (queries split across
-partitions, database segmented within each), all sharing one PVFS2 volume
-— and shows the trade-off: smaller synchronization/master scopes per
-partition versus global load balance.
+(b) hybrid jobs with 2 and 4 independent partitions — ``--masters K`` on a
+closed batch: queries split across partitions, database segmented within
+each, all sharing one PVFS2 volume — and shows the trade-off: smaller
+synchronization/master scopes per partition versus global load balance.
 
 Run:  python examples/hybrid_segmentation.py
 """
 
-from repro.core import HybridS3aSim, SimulationConfig, run_simulation
+from repro.core import SimulationConfig, run_simulation
+from repro.shard import ShardConfig, run_sharded
 
 CONFIG = SimulationConfig(
     nprocs=24,
@@ -27,10 +28,10 @@ def main() -> None:
     print(f"pure database segmentation (1 partition): {pure.elapsed:7.2f}s")
 
     for k in (2, 4):
-        result = HybridS3aSim(CONFIG, k).run()
-        assert result.complete
+        result = run_sharded(CONFIG.with_(shard=ShardConfig(nshards=k)))
+        assert result.file_stats.complete
         spans = ", ".join(
-            f"p{i}={r.elapsed:.2f}s" for i, r in enumerate(result.partition_results)
+            f"p{i}={t:.2f}s" for i, t in enumerate(result.shard_elapsed)
         )
         print(f"hybrid with {k} partitions:              {result.elapsed:7.2f}s  ({spans})")
 

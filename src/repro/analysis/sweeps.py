@@ -310,7 +310,7 @@ def masters_sweep(
     load?) and ``serve_stats["imbalance"]`` (how well placement plus
     work-stealing spreads the queries).
 
-    ``base.arrival`` must be set; sharding only exists in serve mode.
+    ``base.arrival`` must be set: the axis measures serve-mode latency.
     """
     if base.arrival is None:
         raise ValueError("masters_sweep needs base.arrival set")

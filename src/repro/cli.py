@@ -41,7 +41,7 @@ from .analysis import (
     strategy_grid,
 )
 from .cluster.presets import get_preset
-from .core import HybridS3aSim, S3aSim, SimulationConfig
+from .core import S3aSim, SimulationConfig
 from .core.scenarios import SCENARIOS, get_scenario
 from .faults import FaultPlan, load_fault_plan
 from .core.phases import Phase
@@ -54,7 +54,7 @@ from .serve import (
     ArrivalConfig,
     format_latency,
 )
-from .shard import PLACEMENTS, ShardConfig
+from .shard import PLACEMENTS, ShardConfig, run_sharded
 from .trace import TraceRecorder, export_json, render_timeline
 from .workload import ComputeModel, load_workload_kwargs, save_workload
 
@@ -195,17 +195,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="M",
-        help="serve mode: shard the ranks into M independent master/worker "
-        "pools sharing the network and PVFS volume (1 = the seed's "
-        "single-master topology, bit-identical)",
+        help="shard the ranks into M independent master/worker pools sharing "
+        "the network and PVFS volume; a closed batch gives each master a "
+        "contiguous query block (hybrid query/database segmentation), serve "
+        "mode places arrivals (1 = the seed's single-master topology, "
+        "bit-identical)",
     )
     parser.add_argument(
         "--placement",
         choices=list(PLACEMENTS),
-        default="hash",
+        default=None,
         help="sharded serve mode: how arrivals map to masters (hash of the "
-        "arrival index, or contiguous ranges — deliberately skewed, the "
-        "work-stealing showcase)",
+        "arrival index, the default, or contiguous ranges — deliberately "
+        "skewed, the work-stealing showcase)",
     )
     parser.add_argument(
         "--no-steal",
@@ -267,16 +269,18 @@ def _config_from(args: argparse.Namespace) -> SimulationConfig:
             )
         except ValueError as exc:
             raise SystemExit(f"invalid arrival configuration: {exc}")
+    placement = getattr(args, "placement", None)
+    if placement is not None and "arrival" not in kwargs:
+        raise SystemExit(
+            "--placement maps arrivals to masters and needs serve mode (give "
+            "--arrival, or use `s3asim serve`); a closed batch splits its "
+            "queries into contiguous blocks"
+        )
     if getattr(args, "masters", 1) > 1:
-        if "arrival" not in kwargs:
-            raise SystemExit(
-                "--masters needs serve mode (give --arrival, or use "
-                "`s3asim serve`)"
-            )
         try:
             kwargs["shard"] = ShardConfig(
                 nshards=args.masters,
-                placement=getattr(args, "placement", "hash"),
+                placement=placement or "hash",
                 steal=not getattr(args, "no_steal", False),
             )
         except ValueError as exc:
@@ -304,13 +308,26 @@ def _config_from(args: argparse.Namespace) -> SimulationConfig:
     return config
 
 
+def _sharded(cfg: SimulationConfig) -> bool:
+    return cfg.shard is not None and cfg.shard.nshards > 1
+
+
+def _simulation(cfg: SimulationConfig):
+    """The runnable simulation for ``cfg``: a MasterGroup when sharded."""
+    if _sharded(cfg):
+        from .shard.group import MasterGroup
+
+        return MasterGroup(cfg)
+    return S3aSim(cfg)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     if getattr(args, "save_workload", None):
         with open(args.save_workload, "w") as fh:
             save_workload(cfg, fh)
         print(f"workload parameters written to {args.save_workload}")
-    app = S3aSim(cfg)
+    app = _simulation(cfg)
     result = app.run()
     print(result.summary_line())
     checker = app.world.env.check
@@ -331,13 +348,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{summary['replica_acked_bytes']} B acked on live replicas, "
                 f"{summary['replica_outstanding_bytes']} B durability gap open"
             )
-    print()
-    print(f"{'phase':>20s} {'master':>12s} {'worker mean':>12s}")
-    wm = result.worker_mean
-    for phase in Phase:
-        print(
-            f"{phase.value:>20s} {result.master[phase]:>12.3f} {wm[phase]:>12.3f}"
-        )
+    if not _sharded(cfg):
+        print()
+        print(f"{'phase':>20s} {'master':>12s} {'worker mean':>12s}")
+        wm = result.worker_mean
+        for phase in Phase:
+            print(
+                f"{phase.value:>20s} {result.master[phase]:>12.3f} "
+                f"{wm[phase]:>12.3f}"
+            )
     fstat = result.file_stats
     print()
     print(
@@ -347,7 +366,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.serve_stats:
         print()
         _print_serve_stats(result.serve_stats)
-    if result.fault_stats:
+    if getattr(result, "fault_stats", None):
         print()
         print("faults/recovery:")
         for name in sorted(result.fault_stats):
@@ -392,24 +411,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not getattr(args, "arrival", None):
         args.arrival = args.preset
     cfg = _config_from(args).with_(collect_metrics=True)
-    if cfg.shard is not None and cfg.shard.nshards > 1:
-        from .shard.group import MasterGroup
-
-        group = MasterGroup(cfg)
-        result = group.run(until=args.until)
-        print(result.summary_line())
-        _print_serve_stats(result.serve_stats)
-        for index, shard_stats in enumerate(result.shard_serve_stats):
-            print(f"shard {index}:")
-            _print_serve_stats(shard_stats, indent="  ")
-        env = group.world.env
-    else:
-        app = S3aSim(cfg)
-        result = app.run(until=args.until)
-        print(result.summary_line())
-        _print_serve_stats(result.serve_stats)
-        env = app.world.env
-    checker = env.check
+    app = _simulation(cfg)
+    result = app.run(until=args.until)
+    print(result.summary_line())
+    _print_serve_stats(result.serve_stats)
+    for index, shard_stats in enumerate(getattr(result, "shard_serve_stats", [])):
+        print(f"shard {index}:")
+        _print_serve_stats(shard_stats, indent="  ")
+    checker = app.world.env.check
     if checker.enabled:
         summary = checker.summary()
         arrivals = summary.get("arrivals", {})
@@ -612,6 +621,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_fault_sweep(args: argparse.Namespace) -> int:
     """Per-strategy robustness comparison under one canned fault scenario."""
     cfg = _config_from(args)
+    if _sharded(cfg):
+        raise SystemExit(
+            "fault-sweep injects faults, and multi-master runs do not "
+            "compose with fault injection yet"
+        )
     plan = FaultPlan.standard(
         crash_rank=args.crash_rank,
         crash_time=args.crash_time,
@@ -832,7 +846,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     recorder = TraceRecorder()
-    S3aSim(cfg, recorder=recorder).run()
+    run_sharded(cfg, recorder=recorder)
     print(render_timeline(recorder, width=args.width))
     if args.output:
         with open(args.output, "w") as fh:
@@ -841,23 +855,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_hybrid(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    if cfg.arrival is not None:
-        raise SystemExit(
-            "hybrid mode pre-partitions the closed batch and cannot take "
-            "open-loop arrivals; drop --arrival"
-        )
-    result = HybridS3aSim(cfg, args.partitions).run()
-    print(result.summary_line())
-    for index, part in enumerate(result.partition_results):
-        print(f"  partition {index}: {part.summary_line()}")
-    print("complete:", result.complete)
-    return 0 if result.complete else 1
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _config_from(args).with_(store_data=True)
+    if _sharded(cfg):
+        raise SystemExit(
+            "validate compares one output file per strategy; a --masters run "
+            "writes one file per master (use `run --masters M --store-data`)"
+        )
     reference = None
     status = 0
     for strategy in sorted(STRATEGIES):
@@ -1068,14 +1072,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run one saved repro artifact instead of drawing cases",
     )
     p_check.set_defaults(func=_cmd_check)
-
-    p_hybrid = sub.add_parser(
-        "hybrid",
-        help="hybrid query/database segmentation (paper future work)",
-    )
-    _add_common(p_hybrid)
-    p_hybrid.add_argument("--partitions", type=int, default=2)
-    p_hybrid.set_defaults(func=_cmd_hybrid)
 
     return parser
 

@@ -101,9 +101,11 @@ class SimulationConfig:
 
     #: Multi-master sharding (``repro.shard``): partition the ranks into
     #: ``shard.nshards`` master+worker pools that share the network and
-    #: PVFS volume, with query placement at admission and work-stealing
-    #: between masters.  ``None`` (the default) is the single-master
-    #: runner, bit-identical to the seed.
+    #: PVFS volume.  A closed batch gives each shard a contiguous query
+    #: block (hybrid query/database segmentation); serve mode places
+    #: arrivals at admission and steals work between masters.  ``None``
+    #: (the default) is the single-master runner, bit-identical to the
+    #: seed.
     shard: Optional[ShardConfig] = None
 
     #: Read the database fragment from the shared volume before the first
@@ -168,17 +170,22 @@ class SimulationConfig:
                     "serve mode does not compose with fault injection yet"
                 )
         if self.shard is not None and self.shard.nshards > 1:
-            if self.arrival is None:
+            nshards = self.shard.nshards
+            if self.nprocs < 2 * nshards:
                 raise ValueError(
-                    "multi-master sharding requires serve mode (set "
-                    "arrival): batch workloads have a static task list "
-                    "with nothing to place or steal"
+                    f"{nshards} shards need at least {2 * nshards} "
+                    "processes (1 master + >= 1 worker each)"
                 )
-            if self.nprocs < 2 * self.shard.nshards:
+            if self.nqueries < nshards:
                 raise ValueError(
-                    f"{self.shard.nshards} shards need at least "
-                    f"{2 * self.shard.nshards} processes (1 master + "
-                    ">= 1 worker each)"
+                    f"{nshards} shards need at least {nshards} queries "
+                    "(one per shard)"
+                )
+            if self.resume_from_query != 0:
+                raise ValueError("multi-master runs cannot resume a partial run")
+            if not self.fault_plan.empty or self.fault_tolerance is not None:
+                raise ValueError(
+                    "multi-master runs do not compose with fault injection yet"
                 )
         for crash in self.fault_plan.worker_crashes:
             if not 1 <= crash.rank < self.nprocs:

@@ -97,6 +97,7 @@ class Master:
         recorder=None,
         resume_block_sizes: Optional[List[int]] = None,
         selector=None,
+        content: Optional[Dict[int, int]] = None,
     ) -> None:
         self.comm = comm
         self.cfg = cfg
@@ -130,6 +131,13 @@ class Master:
         #: Worker-writing serve runs need on-disk acknowledgements to stamp
         #: result-durable latency (MW knows at its own write return).
         self.serve_acks = self.serve is not None and self.strategy.parallel_io
+        #: Query slot -> workload content id (unmapped slots are their own
+        #: id).  Serve mode fills it at admission and a stolen query brings
+        #: its id along; a batch shard of a multi-master run is handed its
+        #: contiguous query block.
+        self.content: Dict[int, int] = (
+            self.serve.content if self.serve is not None else content or {}
+        )
         if self.serve is not None:
             self.tasks: List[TaskAssignment] = []
         else:
@@ -467,12 +475,9 @@ class Master:
         name = self.chosen.get(q)
         if name is not None:
             return name
-        content = (
-            self.serve.content.get(q, q) if self.serve is not None else q
-        )
         name = self.selector.choose(
             q,
-            content=content,
+            content=self.content.get(q, q),
             outstanding_faults=len(self.dead) + len(self.reissue),
         )
         self.chosen[q] = name

@@ -1,22 +1,30 @@
 """MasterGroup: M independent masters sharing one cluster and volume.
 
-The group partitions the MPI world into contiguous rank blocks (the hybrid
-topology's arithmetic), one shard each: rank 0 of a block runs a
-:class:`~repro.core.master.Master`, the rest its worker pool.  All shards
-share the simulated network and the PVFS volume — their I/O genuinely
-contends — but each writes its own output file (``<path>.shard<i>``),
-because the offset ledger is a per-master, strictly-in-order structure.
+The group partitions the MPI world into contiguous rank blocks, one shard
+each: rank 0 of a block runs a :class:`~repro.core.master.Master`, the
+rest its worker pool.  All shards share the simulated network and the
+PVFS volume — their I/O genuinely contends — but each writes its own
+output file (``<path>.shard<i>``), because the offset ledger is a
+per-master, strictly-in-order structure.
 
-A single global arrival process drives an :class:`_ArrivalRouter`, which
-places each arrival on a shard (hash or range of the arrival index; the
-placement consumes no randomness, so the arrival stream is bit-identical
-to a single-master run at the same seed) and stamps it with its global
-*content id*.  The workload is addressed by content id, so a query keeps
-its identity when work-stealing moves it between shards.
+Batch mode (``config.arrival is None``) is the paper's future-work hybrid
+query/database segmentation (Section 5): shard ``i`` runs the contiguous
+query block ``partition_ranks(nqueries, M, i)`` as an ordinary closed
+batch (query segmentation between shards, database segmentation within
+each).  Nothing is placed or stolen: a shard that drew the expensive
+queries finishes last while the others idle.
 
-Work stealing (``ShardConfig.steal``): a master whose pending queue drains
-while workers are parked probes its peers round-robin over the
-out-of-band channel (``Steal``/``Donate``); a donor ships the youngest
+Serve mode: a single global arrival process drives an
+:class:`_ArrivalRouter`, which places each arrival on a shard (hash or
+range of the arrival index; the placement consumes no randomness, so the
+arrival stream is bit-identical to a single-master run at the same seed)
+and stamps it with its global *content id*.  The workload is addressed by
+content id, so a query keeps its identity when work-stealing moves it
+between shards.
+
+Work stealing (``ShardConfig.steal``, serve mode): a master whose pending
+queue drains while workers are parked probes its peers round-robin over
+the out-of-band channel (``Steal``/``Donate``); a donor ships the youngest
 half of its unstarted, non-priority queries.  Latency is measured end to
 end — a stolen query's clock starts at its original arrival.
 """
@@ -43,8 +51,8 @@ from .state import ShardConfig, partition_ranks, place
 
 class _ShardResults:
     """Result-generator view translating a shard's local query slots to
-    global content ids (a live mapping — slots appear at admission and a
-    stolen query brings its content id along)."""
+    global content ids (in serve mode a live mapping — slots appear at
+    admission and a stolen query brings its content id along)."""
 
     def __init__(self, results, content: Dict[int, int]) -> None:
         self._results = results
@@ -101,8 +109,8 @@ class ShardedRunResult:
 
     Duck-types the parts of :class:`~repro.core.report.RunResult` the
     sweep/CLI layers consume (``elapsed``, ``serve_stats``,
-    ``file_stats``, ``summary_line``, ``as_dict``); adds the per-shard
-    serve statistics the imbalance analysis needs.
+    ``file_stats``, ``summary_line``, ``as_dict``); adds per-shard finish
+    times and the per-shard serve statistics the imbalance analysis needs.
     """
 
     strategy: str
@@ -113,24 +121,33 @@ class ShardedRunResult:
     elapsed: float
     file_stats: FileStats
     server_stats: Dict[str, float] = field(default_factory=dict)
-    #: Merged serve summary: global counters, merged-histogram latency
-    #: percentiles, plus ``masters``, ``steals``, ``donated`` and the
-    #: completion ``imbalance`` (max/mean of per-shard completions).
+    #: Merged serve summary (empty for a closed batch): global counters,
+    #: merged-histogram latency percentiles, plus ``masters``, ``steals``,
+    #: ``donated`` and the completion ``imbalance`` (max/mean of per-shard
+    #: completions).
     serve_stats: Dict[str, float] = field(default_factory=dict)
     #: One ``ServeState.stats()`` dict per shard, in shard order.
     shard_serve_stats: List[Dict[str, float]] = field(default_factory=list)
+    #: When each shard finished: the latest phase-report total over its
+    #: ranks, in shard order (the per-shard barrier lets a fast shard's
+    #: ranks finish early).
+    shard_elapsed: List[float] = field(default_factory=list)
     metrics: Optional[object] = None
 
     def summary_line(self) -> str:
-        s = self.serve_stats
         sync = "sync" if self.query_sync else "no-sync"
-        return (
+        shards = " ".join(f"s{i}={t:.2f}s" for i, t in enumerate(self.shard_elapsed))
+        line = (
             f"{self.strategy:8s} {sync:7s} np={self.nprocs:<3d} "
-            f"masters={self.nshards} total={self.elapsed:8.2f}s  "
-            f"[completed={s.get('completed', 0.0):g} "
-            f"steals={s.get('steals', 0.0):g} "
-            f"imbalance={s.get('imbalance', 0.0):.2f}]"
+            f"masters={self.nshards} total={self.elapsed:8.2f}s  [{shards}]"
         )
+        s = self.serve_stats
+        if s:
+            line += (
+                f" completed={s['completed']:g} steals={s['steals']:g} "
+                f"imbalance={s['imbalance']:.2f}"
+            )
+        return line
 
     def as_dict(self) -> dict:
         return {
@@ -146,6 +163,7 @@ class ShardedRunResult:
                 "dense": self.file_stats.dense,
             },
             "servers": self.server_stats,
+            "shard_elapsed": list(self.shard_elapsed),
             "serve": self.serve_stats,
             "shards": list(self.shard_serve_stats),
             **(
@@ -163,8 +181,6 @@ class MasterGroup:
         shard = config.shard
         if shard is None or shard.nshards < 2:
             raise ValueError("MasterGroup needs shard.nshards >= 2")
-        if config.arrival is None:
-            raise ValueError("MasterGroup needs serve mode (config.arrival)")
         self.config = config
         self.shard_cfg = shard
         self.recorder = recorder
@@ -190,8 +206,10 @@ class MasterGroup:
         self.partitions = [
             partition_ranks(config.nprocs, nshards, i) for i in range(nshards)
         ]
-        # Master-to-master communicator: local rank == shard index.
-        mcomm = self.world.comm.sub([ranks[0] for ranks in self.partitions])
+        serve = config.arrival is not None
+        if serve:
+            # Master-to-master communicator: local rank == shard index.
+            mcomm = self.world.comm.sub([ranks[0] for ranks in self.partitions])
         store = config.effective_pvfs().store_data
         strategy = config.io_strategy()
         self.masters: List[Master] = []
@@ -212,6 +230,11 @@ class MasterGroup:
             sub_cfg = config.with_(
                 nprocs=len(ranks), output_path=path, shard=None
             )
+            content = None
+            if not serve:
+                block = partition_ranks(config.nqueries, nshards, i)
+                sub_cfg = sub_cfg.with_(nqueries=len(block))
+                content = dict(enumerate(block))
             selector = None
             if sub_cfg.adaptive:
                 # Per-shard selector over the *global* result generator —
@@ -221,9 +244,12 @@ class MasterGroup:
                     self.workload.results, self.fs, nworkers=sub_cfg.nworkers
                 )
             master = Master(
-                comm.view(0), sub_cfg, fh, recorder=recorder, selector=selector
+                comm.view(0), sub_cfg, fh, recorder=recorder,
+                selector=selector, content=content,
             )
-            master.attach_shard(i, mcomm.view(i), shard)
+            master.shard_id = i
+            if serve:
+                master.attach_shard(i, mcomm.view(i), shard)
             self.masters.append(master)
             pool = []
             for local in range(1, len(ranks)):
@@ -231,7 +257,7 @@ class MasterGroup:
                     comm.view(local),
                     wcomm.view(local - 1),
                     sub_cfg,
-                    _ShardWorkload(self.workload, master.serve.content),
+                    _ShardWorkload(self.workload, master.content),
                     fh,
                     recorder=recorder,
                 )
@@ -247,11 +273,15 @@ class MasterGroup:
             self.world.spawn(ranks[0], lambda _v, m=master: m.run())
             for local, worker in enumerate(self.workers[i], start=1):
                 self.world.spawn(ranks[local], lambda _v, w=worker: w.run())
-        router = _ArrivalRouter(self.masters, self.shard_cfg, cfg.nqueries)
-        env.process(
-            arrival_process(env, router, cfg.arrival, cfg.streams(), cfg.nqueries),
-            name="arrivals",
-        )
+        serve = cfg.arrival is not None
+        if serve:
+            router = _ArrivalRouter(self.masters, self.shard_cfg, cfg.nqueries)
+            env.process(
+                arrival_process(
+                    env, router, cfg.arrival, cfg.streams(), cfg.nqueries
+                ),
+                name="arrivals",
+            )
 
         reports = self.world.run(until=until)
         elapsed = env.now
@@ -259,10 +289,18 @@ class MasterGroup:
         if cutoff and self.recorder is not None:
             for master in self.masters:
                 rank = master.comm.global_rank
-                for q in list(master.serve.arrival_t):
-                    self.recorder.discard(rank, state=f"serve_q{q}")
+                if master.serve is not None:
+                    for q in list(master.serve.arrival_t):
+                        self.recorder.discard(rank, state=f"serve_q{q}")
             for rank in range(cfg.nprocs):
                 self.recorder.abort(rank, elapsed)
+        shard_elapsed = [
+            max(
+                (reports[rank] or proc.timer.report()).total
+                for rank, proc in zip(ranks, [self.masters[i], *self.workers[i]])
+            )
+            for i, ranks in enumerate(self.partitions)
+        ]
 
         # Per-shard output files: each must hold exactly the bytes of the
         # queries its master completed locally (donated slots are zero-size
@@ -271,10 +309,12 @@ class MasterGroup:
         dense = True
         for i, master in enumerate(self.masters):
             s = master.serve
+            slots = range(s.admitted) if s is not None else range(master.cfg.nqueries)
+            donated = s.donated_q if s is not None else ()
             expected = sum(
-                self.workload.results.query_total_bytes(s.content[q])
-                for q in range(s.admitted)
-                if q not in s.donated_q
+                self.workload.results.query_total_bytes(master.content[q])
+                for q in slots
+                if q not in donated
             )
             store = self.files[i].bytestore
             total += store.total_bytes()
@@ -296,8 +336,8 @@ class MasterGroup:
             "mean_busy_s": sum(s.stats.busy_s for s in self.fs.servers)
             / len(self.fs.servers),
         }
-        shard_stats = [m.serve.stats() for m in self.masters]
-        serve_stats = self._merged_serve_stats(shard_stats)
+        shard_stats = [m.serve.stats() for m in self.masters] if serve else []
+        serve_stats = self._merged_serve_stats() if serve else {}
 
         metrics_registry = env.metrics
         if metrics_registry.enabled:
@@ -317,7 +357,9 @@ class MasterGroup:
                 open_queries={
                     i: m.serve.admitted - m.serve.completed - m.serve.donated
                     for i, m in enumerate(self.masters)
-                },
+                }
+                if serve
+                else None,
             )
         return ShardedRunResult(
             strategy=cfg.strategy,
@@ -330,10 +372,11 @@ class MasterGroup:
             server_stats=server_stats,
             serve_stats=serve_stats,
             shard_serve_stats=shard_stats,
+            shard_elapsed=shard_elapsed,
             metrics=metrics,
         )
 
-    def _merged_serve_stats(self, shard_stats) -> Dict[str, float]:
+    def _merged_serve_stats(self) -> Dict[str, float]:
         masters = self.masters
         merged = masters[0].serve.latency_summary()
         for master in masters[1:]:

@@ -2,8 +2,9 @@
 
 A sharded run partitions the MPI world into ``nshards`` contiguous rank
 blocks; each block runs one independent master (its rank 0) plus a worker
-pool, all sharing the simulated network and PVFS volume.  Placement
-decides, at the arrival instant, which shard admits a query; the
+pool, all sharing the simulated network and PVFS volume.  A closed batch
+splits its queries into contiguous blocks the same way.  In serve mode,
+placement decides, at the arrival instant, which shard admits a query; the
 work-stealing protocol (see :mod:`repro.shard.group`) rebalances later if
 placement turns out skewed.
 
@@ -53,8 +54,9 @@ class ShardConfig:
 
 
 def partition_ranks(nprocs: int, nshards: int, index: int) -> List[int]:
-    """World ranks of shard ``index``: contiguous blocks, remainder spread
-    over the first shards (the same arithmetic as the hybrid topology)."""
+    """Shard ``index``'s block of ``range(nprocs)``: contiguous blocks,
+    remainder spread over the first shards.  Splits the world's ranks and,
+    in a batch run, the query set (``partition_ranks(nqueries, ...)``)."""
     base = nprocs // nshards
     extra = nprocs % nshards
     start = index * base + min(index, extra)

@@ -70,11 +70,22 @@ class TestCommands:
         assert "VALIDATION PASSED" in out
 
     def test_hybrid(self, capsys):
-        code = main(["hybrid", *SMALL, "--partitions", "2"])
+        code = main(["run", *SMALL, "--masters", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "hybrid k=2" in out
-        assert "complete: True" in out
+        assert "masters=2" in out
+        assert "s0=" in out and "s1=" in out
+        assert "complete=True" in out
+
+    def test_sharded_trace(self, capsys):
+        code = main(["trace", *SMALL, "--masters", "2", "--width", "40"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "rank   2" in out and "rank   3" in out
+
+    def test_validate_rejects_masters(self):
+        with pytest.raises(SystemExit, match="one output file per strategy"):
+            main(["validate", *SMALL, "--masters", "2"])
 
     def test_scenario_flag(self, capsys):
         code = main(["run", *SMALL, "--scenario", "pioblast"])

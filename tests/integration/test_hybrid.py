@@ -1,65 +1,73 @@
-"""Hybrid query/database segmentation (the paper's future-work strategy)."""
+"""Hybrid query/database segmentation (the paper's future-work strategy).
+
+``--masters K`` on a closed batch: K master/worker shards on one machine,
+shard ``i`` running the contiguous query block ``i`` with the database
+segmented across its own workers.
+"""
 
 import pytest
 
-from repro.core import HybridS3aSim, SimulationConfig, run_hybrid, run_simulation
+from repro.core import S3aSim, SimulationConfig, run_simulation
+from repro.shard import ShardConfig, partition_ranks
+from repro.shard.group import MasterGroup, run_sharded
 
 
-def cfg(**kwargs):
+def cfg(masters=None, **kwargs):
     defaults = dict(
         nprocs=12, strategy="ww-list", nqueries=8, nfragments=16,
         store_data=True,
     )
     defaults.update(kwargs)
+    if masters is not None:
+        defaults["shard"] = ShardConfig(nshards=masters)
     return SimulationConfig(**defaults)
 
 
 class TestValidation:
     def test_partition_bounds(self):
         with pytest.raises(ValueError):
-            HybridS3aSim(cfg(), 0)
+            cfg(masters=0)
         with pytest.raises(ValueError):
-            HybridS3aSim(cfg(nprocs=4), 3)  # needs >= 2 procs/partition
+            cfg(masters=3, nprocs=4)  # needs >= 2 procs/shard
         with pytest.raises(ValueError):
-            HybridS3aSim(cfg(nqueries=2), 3)  # needs >= 1 query/partition
+            cfg(masters=3, nqueries=2)  # needs >= 1 query/shard
 
     def test_no_resume(self):
         with pytest.raises(ValueError):
-            HybridS3aSim(cfg(resume_from_query=2), 2)
+            cfg(masters=2, resume_from_query=2)
 
 
 class TestPartitioning:
     def test_ranks_partition_the_machine(self):
-        hybrid = HybridS3aSim(cfg(nprocs=13), 3)
-        all_ranks = sorted(
-            r for i in range(3) for r in hybrid.partition_ranks(i)
+        group = MasterGroup(cfg(masters=3, nprocs=13))
+        assert sorted(r for ranks in group.partitions for r in ranks) == list(
+            range(13)
         )
-        assert all_ranks == list(range(13))
+        assert [m.comm.global_rank for m in group.masters] == [
+            ranks[0] for ranks in group.partitions
+        ]
 
     def test_queries_partition_the_query_set(self):
-        hybrid = HybridS3aSim(cfg(nqueries=10), 3)
-        all_queries = sorted(
-            q for i in range(3) for q in hybrid.partition_queries(i)
-        )
-        assert all_queries == list(range(10))
+        group = MasterGroup(cfg(masters=3, nqueries=10))
+        queries = [g for m in group.masters for g in m.content.values()]
+        assert queries == list(range(10))
+        assert [m.cfg.nqueries for m in group.masters] == [
+            len(partition_ranks(10, 3, i)) for i in range(3)
+        ]
 
 
 class TestExecution:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_all_partitions_complete(self, k):
-        result = run_hybrid(cfg(), k)
-        assert result.complete
-        assert len(result.partition_results) == k
-        assert result.elapsed >= max(
-            r.elapsed for r in result.partition_results
-        ) - 1e-9
+        result = run_sharded(cfg(masters=k))
+        assert result.file_stats.complete
+        if k > 1:
+            assert len(result.shard_elapsed) == k
+            assert result.elapsed == max(result.shard_elapsed)
 
     def test_partition_outputs_match_pure_run_content(self):
-        """Every partition's file content equals the corresponding query
+        """Every shard's file content equals the corresponding query
         blocks of a pure database-segmentation run."""
-        pure = run_simulation(cfg())  # noqa: F841  (builds reference sizes)
-        from repro.core import S3aSim
-
         ref_app = S3aSim(cfg())
         ref_app.run()
         ref_store = ref_app.fh.file.bytestore
@@ -67,30 +75,24 @@ class TestExecution:
             ref_app.workload.results.query_total_bytes(q) for q in range(8)
         ]
 
-        hybrid = HybridS3aSim(cfg(), 2)
-        result = hybrid.run()
-        assert result.complete
-        # Partition 0 holds queries 0..3; its file must equal the
+        group = MasterGroup(cfg(masters=2))
+        assert group.run().file_stats.complete
+        # Shard 0 holds queries 0..3; its file must equal the
         # concatenation of those blocks in the reference file.
-        part0 = hybrid.fs.lookup(cfg().output_path + ".part0").bytestore
+        part0, part1 = (f.bytestore for f in group.files)
         nbytes = sum(sizes[:4])
         assert part0.read(0, nbytes) == ref_store.read(0, nbytes)
-        # Partition 1 holds queries 4..7.
-        part1 = hybrid.fs.lookup(cfg().output_path + ".part1").bytestore
+        # Shard 1 holds queries 4..7.
         tail = sum(sizes[4:])
         assert part1.read(0, tail) == ref_store.read(nbytes, tail)
 
     def test_single_partition_equals_pure_database_segmentation(self):
         pure = run_simulation(cfg())
-        hybrid = run_hybrid(cfg(), 1)
-        assert hybrid.partition_results[0].elapsed == pytest.approx(
-            pure.elapsed, rel=0.02
-        )
+        assert run_sharded(cfg(masters=1)).elapsed == pure.elapsed
 
     def test_mw_hybrid_runs(self):
-        result = run_hybrid(cfg(strategy="mw"), 2)
-        assert result.complete
+        assert run_sharded(cfg(masters=2, strategy="mw")).file_stats.complete
 
     def test_collective_hybrid_runs(self):
-        result = run_hybrid(cfg(strategy="ww-coll"), 2)
-        assert result.complete
+        result = run_sharded(cfg(masters=2, strategy="ww-coll"))
+        assert result.file_stats.complete

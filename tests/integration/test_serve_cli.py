@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults import FaultPlan
 
 SMALL = ["--nprocs", "4", "--nqueries", "4", "--nfragments", "4"]
 ARRIVAL = ["--arrival", "poisson", "--arrival-rate", "10", "--max-pending", "8"]
@@ -105,9 +106,31 @@ class TestGuards:
         with pytest.raises(SystemExit, match="--jobs must be >= 1"):
             main(["stats", *SMALL, "--jobs", "-2"])
 
-    def test_hybrid_rejects_arrival(self):
-        with pytest.raises(SystemExit, match="hybrid"):
-            main(["hybrid", *SMALL, *ARRIVAL])
+    def test_placement_needs_arrival(self):
+        with pytest.raises(SystemExit, match="--placement"):
+            main(["run", *SMALL, "--masters", "2", "--placement", "range"])
+
+    def test_masters_rejects_fault_plan(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        with open(plan, "w") as fh:
+            FaultPlan.standard(crash_rank=1, crash_time=1.0).to_json(fh)
+        with pytest.raises(SystemExit, match="fault injection"):
+            main(["run", *SMALL, "--masters", "2", "--fault-plan", str(plan)])
+
+    def test_fault_sweep_rejects_masters(self):
+        with pytest.raises(SystemExit, match="fault injection"):
+            main(["fault-sweep", *SMALL, "--masters", "2"])
+
+    def test_run_dispatches_masters(self, capsys):
+        """``run --masters`` is the sharded run ``serve`` performs, not a
+        silent single-master run."""
+        argv = [*SMALL, *ARRIVAL, "--masters", "2"]
+        assert main(["run", *argv]) == 0
+        ran = capsys.readouterr().out.splitlines()[0]
+        assert main(["serve", *argv]) == 0
+        served = capsys.readouterr().out.splitlines()[0]
+        assert "masters=2" in ran
+        assert ran == served
 
     def test_serve_rejects_write_every(self):
         with pytest.raises(SystemExit, match="write_every"):

@@ -5,14 +5,17 @@ configuration (``--masters 1`` or no shard config at all) must reproduce
 the seed bit-for-bit.  On top of that the sharded path itself must
 conserve queries globally *and* per shard (the checker's extended ledger
 runs on every test here), keep every shard's output file dense, and
-actually steal when placement is skewed.
+actually steal when placement is skewed.  A sharded closed batch (hybrid
+query/database segmentation) is pinned bit for bit by ``BATCH_GOLDEN``.
 """
 
 import pytest
 
+from repro.adapt import StrategySelector
 from repro.analysis import masters_sweep
 from repro.core import S3aSim, SimulationConfig
 from repro.core.app import run_simulation
+from repro.faults import FaultPlan, FaultToleranceConfig
 from repro.serve import ArrivalConfig
 from repro.shard import PLACEMENTS, ShardConfig, partition_ranks, place
 from repro.shard.group import MasterGroup, run_sharded
@@ -26,6 +29,20 @@ GOLDEN = {
 }
 
 STRATEGIES = tuple(GOLDEN)
+
+#: Sharded closed batch (hybrid query/database segmentation), nfragments=16
+#: with stored data: (strategy, nprocs, nqueries, masters) -> (total
+#: elapsed, per-shard elapsed, per-shard file extents).
+BATCH_GOLDEN = {
+    ('mw', 12, 8, 2): (37.29399512030517, (19.375867449132905, 37.29399512030517), (((0, 32096849),), ((0, 63322138),))),
+    ('mw', 13, 10, 3): (39.33062866273938, (21.05342789354151, 39.33062866273938, 20.381474027972704), (((0, 30749637),), ((0, 48436611),), ((0, 25670361),))),
+    ('ww-coll', 12, 8, 2): (28.343923318101943, (13.915301475970935, 28.343923318101943), (((0, 32096849),), ((0, 63322138),))),
+    ('ww-coll', 13, 10, 3): (32.14228491970357, (16.505620585399615, 32.14228491970357, 17.522929963787405), (((0, 30749637),), ((0, 48436611),), ((0, 25670361),))),
+    ('ww-list', 12, 8, 2): (24.674331953863298, (12.678984417587428, 24.674331953863298), (((0, 32096849),), ((0, 63322138),))),
+    ('ww-list', 13, 10, 3): (31.6477214296948, (15.175353858610855, 31.6477214296948, 16.75786060739838), (((0, 30749637),), ((0, 48436611),), ((0, 25670361),))),
+    ('ww-posix', 12, 8, 2): (31.07985725284133, (18.178412360328192, 31.07985725284133), (((0, 32096849),), ((0, 63322138),))),
+    ('ww-posix', 13, 10, 3): (39.65314521560494, (22.708936898530677, 39.65314521560494, 23.199190951532337), (((0, 30749637),), ((0, 48436611),), ((0, 25670361),))),
+}
 
 SMALL = dict(nprocs=4, nqueries=3, nfragments=6)
 
@@ -96,11 +113,41 @@ class TestPlacement:
 
 
 class TestConfigValidation:
-    def test_sharding_requires_serve_mode(self):
-        with pytest.raises(ValueError, match="serve"):
+    def test_sharded_batch_is_valid(self):
+        cfg = SimulationConfig(
+            strategy="ww-list", nprocs=8, nqueries=4, nfragments=4,
+            shard=ShardConfig(nshards=2),
+        )
+        assert cfg.arrival is None
+
+    def test_sharding_rejects_fault_plan(self):
+        plan = FaultPlan.standard(crash_rank=1, crash_time=1.0)
+        with pytest.raises(ValueError, match="fault injection"):
             SimulationConfig(
                 strategy="ww-list", nprocs=8, nqueries=4, nfragments=4,
+                fault_plan=plan, shard=ShardConfig(nshards=2),
+            )
+
+    def test_sharding_rejects_fault_tolerance(self):
+        with pytest.raises(ValueError, match="fault injection"):
+            SimulationConfig(
+                strategy="ww-list", nprocs=8, nqueries=4, nfragments=4,
+                fault_tolerance=FaultToleranceConfig(),
                 shard=ShardConfig(nshards=2),
+            )
+
+    def test_sharding_rejects_resume(self):
+        with pytest.raises(ValueError, match="resume"):
+            SimulationConfig(
+                strategy="ww-list", nprocs=8, nqueries=4, nfragments=4,
+                resume_from_query=2, shard=ShardConfig(nshards=2),
+            )
+
+    def test_sharding_requires_a_query_per_shard(self):
+        with pytest.raises(ValueError, match="queries"):
+            SimulationConfig(
+                strategy="ww-list", nprocs=8, nqueries=2, nfragments=4,
+                shard=ShardConfig(nshards=3),
             )
 
     def test_sharding_requires_two_ranks_per_shard(self):
@@ -114,6 +161,60 @@ class TestConfigValidation:
     def test_bad_placement_rejected(self):
         with pytest.raises(ValueError, match="placement"):
             ShardConfig(nshards=2, placement="modulo")
+
+
+def batch_config(strategy, nprocs, nqueries, masters, **kwargs):
+    return SimulationConfig(
+        strategy=strategy, nprocs=nprocs, nqueries=nqueries, nfragments=16,
+        store_data=True, shard=ShardConfig(nshards=masters), **kwargs,
+    )
+
+
+class TestBatchShards:
+    """A sharded closed batch: contiguous query blocks, no stealing."""
+
+    @pytest.mark.parametrize("key", sorted(BATCH_GOLDEN))
+    def test_golden(self, key):
+        total, per_shard, extents = BATCH_GOLDEN[key]
+        group = MasterGroup(batch_config(*key))
+        result = group.run()
+        assert result.elapsed == total
+        assert tuple(result.shard_elapsed) == per_shard
+        assert tuple(tuple(f.bytestore.extents()) for f in group.files) == extents
+        assert result.file_stats.complete
+
+    def test_query_blocks_split_like_the_ranks(self):
+        # 6 queries over 4 shards: 2,2,1,1 (``place(..., "range")`` would
+        # give 2,1,2,1).
+        group = MasterGroup(batch_config("ww-list", 8, 6, 4))
+        assert [m.content for m in group.masters] == [
+            {0: 0, 1: 1}, {0: 2, 1: 3}, {0: 4}, {0: 5}
+        ]
+        assert [m.cfg.nqueries for m in group.masters] == [2, 2, 1, 1]
+
+    def test_no_serve_machinery(self):
+        result = run_sharded(batch_config("ww-list", 12, 8, 2).with_(check=True))
+        assert result.serve_stats == {}
+        assert result.shard_serve_stats == []
+        assert "s0=" in result.summary_line()
+        assert "steals" not in result.summary_line()
+
+    def test_hybrid_auto_consults_each_shards_own_queries(self, monkeypatch):
+        asked = []
+        choose = StrategySelector.choose
+
+        def spy(self, query_id, content=None, outstanding_faults=0):
+            asked.append((id(self), content))
+            return choose(self, query_id, content, outstanding_faults)
+
+        monkeypatch.setattr(StrategySelector, "choose", spy)
+        group = MasterGroup(
+            batch_config("hybrid-auto", 8, 8, 2).with_(check=True)
+        )
+        assert group.run().file_stats.complete
+        for master, block in zip(group.masters, ([0, 1, 2, 3], [4, 5, 6, 7])):
+            seen = [c for sel, c in asked if sel == id(master.selector)]
+            assert sorted(seen) == block
 
 
 class TestShardedRuns:
