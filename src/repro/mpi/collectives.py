@@ -10,21 +10,26 @@ the timing scales realistically:
 * gather/gatherv — linear to root (what ROMIO-era MPICH used for modest n)
 * scatter/scatterv — linear from root
 * allgather(v) — gather + bcast
-* alltoallv — ring-shifted pairwise exchange (the two-phase I/O workhorse)
+* alltoallv — ROMIO's two-phase exchange: a Bruck alltoall of counts
+  (⌈log₂ n⌉ rounds), then messages only for the non-zero pairs
 * reduce/allreduce — gather-to-root + op (+ bcast)
 
 A reserved, per-invocation tag keeps collective traffic disjoint from user
-messages and from other collectives in flight.
+messages and from other collectives in flight (alltoallv draws two: one for
+the counts, one for the data).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from functools import lru_cache
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .constants import collective_tag
 
 # Wire size of a zero-byte collective control message.
 CONTROL_BYTES = 16
+# Wire size of one count in alltoallv's count exchange (an MPI_INT).
+_COUNT_BYTES = 4
 
 
 def _next_tag(comm) -> int:
@@ -137,35 +142,87 @@ def allgather(comm, nbytes: int, payload: Any = None):
 
 
 def alltoallv(comm, nbytes_to: Sequence[int], payloads_to: Optional[Sequence[Any]] = None):
-    """Personalized all-to-all with per-destination sizes.
+    """Personalized all-to-all with per-destination sizes, ROMIO style.
 
     ``nbytes_to[d]`` is what this rank sends to rank ``d``.  Returns the list
-    of payloads received, indexed by source.  Ring-shifted pairwise schedule:
-    in step ``s`` each rank sends to ``rank+s`` and receives from ``rank-s``,
-    which spreads load evenly — the schedule ROMIO's two-phase exchange
-    approximates.
+    of payloads received, indexed by source; entries whose size is zero are
+    ``None`` and never touch the wire (the rank's own entry stays local).
+
+    Two phases, as ROMIO's ``ADIOI_W_Exchange_data`` runs them:
+
+    1. a dense alltoall of the 4-byte counts, using Bruck's algorithm
+       (what MPICH picks for short messages): ⌈log₂ n⌉ rounds, round ``k``
+       ships every block whose index has bit ``k`` set to ``rank+2^k``.
+       The counts travel in the payloads, and every rank depends on every
+       other rank by the last round;
+    2. ``irecv`` from each source whose received count is non-zero and
+       ``isend`` to each destination with ``nbytes_to[d] > 0``, in ring
+       order from ``rank+1``, then one wait for all of them.
     """
-    tag = _next_tag(comm)
+    count_tag = _next_tag(comm)
+    data_tag = _next_tag(comm)
     size, rank = comm.size, comm.rank
     if len(nbytes_to) != size:
         raise ValueError("nbytes_to must have one entry per rank")
     if payloads_to is not None and len(payloads_to) != size:
         raise ValueError("payloads_to must have one entry per rank")
 
-    received: List[Any] = [None] * size
-    received[rank] = payloads_to[rank] if payloads_to is not None else None
+    counts_from = yield from _bruck_counts(comm, count_tag, nbytes_to)
 
-    for step in range(1, size):
-        dst = (rank + step) % size
-        src = (rank - step) % size
-        send = comm.isend(
-            dst, tag, nbytes_to[dst],
+    received: List[Any] = [None] * size
+    if nbytes_to[rank] > 0 and payloads_to is not None:
+        received[rank] = payloads_to[rank]
+    peers = [(rank + step) % size for step in range(1, size)]
+    recvs = {
+        src: comm.irecv(source=src, tag=data_tag)
+        for src in peers
+        if counts_from[src] > 0
+    }
+    sends = [
+        comm.isend(
+            dst, data_tag, nbytes_to[dst],
             payloads_to[dst] if payloads_to is not None else None,
         )
-        recv = comm.irecv(source=src, tag=tag)
-        yield send.done_event & recv.done_event
+        for dst in peers
+        if nbytes_to[dst] > 0
+    ]
+    if recvs or sends:
+        yield comm.env.all_of(
+            [r.done_event for r in recvs.values()] + [s.done_event for s in sends]
+        )
+    for src, recv in recvs.items():
         received[src] = recv.done_event.value
     return received
+
+
+def _bruck_counts(comm, tag: int, counts_to: Sequence[int]):
+    """Bruck alltoall of one 4-byte count per rank pair; returns the counts
+    indexed by source."""
+    size, rank = comm.size, comm.rank
+    # Block i holds the count bound for rank+i; after the rounds it holds
+    # the count sent by rank-i.
+    blocks = [counts_to[(rank + i) % size] for i in range(size)]
+    for bit, moving in _bruck_rounds(size):
+        send = comm.isend(
+            (rank + bit) % size, tag, _COUNT_BYTES * len(moving),
+            [blocks[i] for i in moving],
+        )
+        recv = comm.irecv(source=(rank - bit) % size, tag=tag)
+        yield send.done_event & recv.done_event
+        for i, count in zip(moving, recv.done_event.value):
+            blocks[i] = count
+    return [blocks[(rank - src) % size] for src in range(size)]
+
+
+@lru_cache(maxsize=64)
+def _bruck_rounds(size: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """``(2^k, block indices with bit k set)`` for each Bruck round."""
+    rounds = []
+    bit = 1
+    while bit < size:
+        rounds.append((bit, tuple(i for i in range(size) if i & bit)))
+        bit <<= 1
+    return tuple(rounds)
 
 
 def reduce(comm, root: int, nbytes: int, value: Any, op: Callable[[Any, Any], Any]):

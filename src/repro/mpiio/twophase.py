@@ -3,10 +3,14 @@
 The default collective method in ROMIO and the engine behind the paper's
 WW-Coll strategy.  Phase 1 exchanges data so that each of the ``cb_nodes``
 aggregators holds a contiguous *file domain*; phase 2 has aggregators issue
-large (near-)contiguous writes.  The exchange is an ``alltoallv`` among all
-participants — this is the *inherent synchronization* whose cost the paper
-sets out to expose: every rank blocks in the exchange until the slowest
-participant arrives, whether or not it has data to contribute.
+large (near-)contiguous writes.  The exchange is ROMIO's
+(``ADIOI_W_Exchange_data``): a dense alltoall of byte counts, then data
+messages only between pairs that have something to move
+(:func:`repro.mpi.alltoallv`).  The count alltoall is the *inherent
+synchronization* whose cost the paper sets out to expose: its ⌈log₂ n⌉
+Bruck rounds make every rank wait for every other rank, so each rank blocks
+in every exchange until the slowest participant arrives, whether or not it
+has data to contribute.  Zero-byte pairs cost nothing beyond their count.
 
 The domain is processed in ``cb_buffer_size`` windows ("ntimes" rounds in
 ROMIO), each round being a fresh exchange + write.
@@ -321,17 +325,22 @@ def _clip_pieces(
 def _coalesce_pieces(
     pieces: List[Tuple[int, int, Optional[bytes]]],
 ) -> Tuple[List[Region], Optional[List[Optional[bytes]]]]:
-    """Sort by offset and merge adjacent pieces into contiguous runs."""
+    """Sort by offset and merge adjacent pieces into contiguous runs.
+
+    A run's data is joined once at the end, so coalescing k adjacent pieces
+    copies each byte once rather than O(k) times."""
     pieces = sorted(pieces, key=lambda p: p[0])
-    runs: List[List] = []
     have_data = any(p[2] is not None for p in pieces)
+    runs: List[List] = []  # [offset, length, data chunks]
     for offset, length, data in pieces:
+        chunk = None
+        if have_data:
+            chunk = data if data is not None else bytes(length)
         if runs and runs[-1][0] + runs[-1][1] == offset:
             runs[-1][1] += length
-            if have_data:
-                runs[-1][2] = (runs[-1][2] or b"") + (data or bytes(length))
+            runs[-1][2].append(chunk)
         else:
-            runs.append([offset, length, data if data is not None else (bytes(length) if have_data else None)])
+            runs.append([offset, length, [chunk]])
     regions = [(r[0], r[1]) for r in runs]
-    datas = [r[2] for r in runs] if have_data else None
+    datas = [b"".join(r[2]) for r in runs] if have_data else None
     return regions, datas

@@ -23,7 +23,7 @@ GOLDEN = {
     "mw": 25.410715708394612,
     "ww-posix": 24.30148509613702,
     "ww-list": 21.376782075112857,
-    "ww-coll": 21.81401815133468,
+    "ww-coll": 21.79613830978692,
 }
 
 

@@ -40,14 +40,14 @@ GOLDEN_OUTAGE_MID_FLUSH = {
     "mw": 25.433174060448717,
     "ww-posix": 21.602049995008596,
     "ww-list": 21.394507533325722,
-    "ww-coll": 21.819089646821208,
+    "ww-coll": 21.80120980527345,
 }
 
 GOLDEN_SLOWDOWN_ELEVATOR = {
     "mw": 25.421562385477948,
     "ww-posix": 25.228198654828642,
     "ww-list": 21.406985657038742,
-    "ww-coll": 21.883711505501353,
+    "ww-coll": 21.865831663953593,
 }
 
 

@@ -230,3 +230,23 @@ class TestCoalescePieces:
         )
         assert regions == [(0, 10)]
         assert datas is None
+
+    def test_many_adjacent_pieces_join_bit_identical(self):
+        import random
+
+        from repro.mpiio.twophase import _coalesce_pieces
+
+        # 4000 adjacent 3-byte pieces in two runs, shuffled, with some
+        # pieces carrying no data (zero-filled in the run).
+        pieces = []
+        for offset in list(range(0, 6000, 3)) + list(range(9000, 15000, 3)):
+            data = None if offset % 7 == 0 else bytes([offset % 251]) * 3
+            pieces.append((offset, 3, data))
+        expected = [
+            b"".join(d if d is not None else bytes(3) for _, _, d in run)
+            for run in (pieces[:2000], pieces[2000:])
+        ]
+        random.Random(5).shuffle(pieces)
+        regions, datas = _coalesce_pieces(pieces)
+        assert regions == [(0, 6000), (9000, 6000)]
+        assert datas == expected

@@ -25,7 +25,7 @@ GOLDEN = {
     "mw": 25.410715708394612,
     "ww-posix": 24.30148509613702,
     "ww-list": 21.376782075112857,
-    "ww-coll": 21.81401815133468,
+    "ww-coll": 21.79613830978692,
 }
 
 STRATEGIES = tuple(GOLDEN)
@@ -36,8 +36,8 @@ STRATEGIES = tuple(GOLDEN)
 BATCH_GOLDEN = {
     ('mw', 12, 8, 2): (37.29399512030517, (19.375867449132905, 37.29399512030517), (((0, 32096849),), ((0, 63322138),))),
     ('mw', 13, 10, 3): (39.33062866273938, (21.05342789354151, 39.33062866273938, 20.381474027972704), (((0, 30749637),), ((0, 48436611),), ((0, 25670361),))),
-    ('ww-coll', 12, 8, 2): (28.343923318101943, (13.915301475970935, 28.343923318101943), (((0, 32096849),), ((0, 63322138),))),
-    ('ww-coll', 13, 10, 3): (32.14228491970357, (16.505620585399615, 32.14228491970357, 17.522929963787405), (((0, 30749637),), ((0, 48436611),), ((0, 25670361),))),
+    ('ww-coll', 12, 8, 2): (28.29624167974496, (13.885545886343232, 28.29624167974496), (((0, 32096849),), ((0, 63322138),))),
+    ('ww-coll', 13, 10, 3): (32.11278012198611, (16.474784504531392, 32.11278012198611, 17.51158818372821), (((0, 30749637),), ((0, 48436611),), ((0, 25670361),))),
     ('ww-list', 12, 8, 2): (24.674331953863298, (12.678984417587428, 24.674331953863298), (((0, 32096849),), ((0, 63322138),))),
     ('ww-list', 13, 10, 3): (31.6477214296948, (15.175353858610855, 31.6477214296948, 16.75786060739838), (((0, 30749637),), ((0, 48436611),), ((0, 25670361),))),
     ('ww-posix', 12, 8, 2): (31.07985725284133, (18.178412360328192, 31.07985725284133), (((0, 32096849),), ((0, 63322138),))),
