@@ -1,20 +1,23 @@
 """The simulated communicator: point-to-point operations per rank.
 
 Each rank gets its own :class:`RankComm` handle (as in real MPI, where every
-process holds its own view of the communicator).  Sends spawn small protocol
-processes that move bytes through the :class:`~repro.mpi.network.Network`;
-receives go through the rank's :class:`~repro.mpi.mailbox.Mailbox`.
+process holds its own view of the communicator).  Sends move bytes through
+the :class:`~repro.mpi.network.Network`: eager and out-of-band sends as a
+callback chain on kernel events (:class:`_EagerSend`), rendezvous and
+loopback sends as small protocol processes.  Receives go through the
+rank's :class:`~repro.mpi.mailbox.Mailbox`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..sim import Environment
+from ..sim import Environment, Event
+from ..sim.events import URGENT
 from .constants import ANY_SOURCE, ANY_TAG, EAGER, RENDEZVOUS_RTS
 from .mailbox import Mailbox
 from .message import Envelope, Status
-from .network import Network
+from .network import LinkFailure, LinkFaults, Network
 from .request import RecvRequest, SendRequest
 
 # Size of a rendezvous RTS/CTS control message on the wire.
@@ -72,7 +75,7 @@ class Communicator:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
         return RankComm(self, rank)
 
-    # -- protocol processes --------------------------------------------------
+    # -- send protocols --------------------------------------------------
     def _start_send(
         self, src: int, dst: int, tag: int, nbytes: int, payload: Any,
         oob: bool = False,
@@ -90,10 +93,7 @@ class Communicator:
 
         if oob and src != dst:
             kind = "oob"
-            self.env.process(
-                self._oob(src, dst, tag, nbytes, payload, seq, request),
-                name=f"oob-{src}->{dst}",
-            )
+            _EagerSend(self, src, dst, tag, nbytes, payload, seq, request, oob=True)
         elif src == dst:
             kind = "loopback"
             self.env.process(
@@ -102,10 +102,7 @@ class Communicator:
             )
         elif nbytes <= self.network.config.eager_threshold_B:
             kind = "eager"
-            self.env.process(
-                self._eager(src, dst, tag, nbytes, payload, seq, request),
-                name=f"eager-{src}->{dst}",
-            )
+            _EagerSend(self, src, dst, tag, nbytes, payload, seq, request, oob=False)
         else:
             kind = "rendezvous"
             self.env.process(
@@ -130,40 +127,6 @@ class Communicator:
         c = self.env.check
         if c.enabled:
             c.msg_delivered("loopback", nbytes)
-
-    def _oob(self, src, dst, tag, nbytes, payload, seq, request):
-        # Out-of-band control channel (management network): pays the wire
-        # latency but never competes with bulk data for NIC bandwidth and
-        # is exempt from injected link faults.  Used for liveness traffic
-        # (heartbeats, rejoin notices, write acks) — a cluster's fault
-        # detector must not suffocate under the very congestion it watches.
-        yield from self.network.wire_latency()
-        request._complete()
-        self.mailboxes[dst].deliver(
-            Envelope(
-                src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload,
-                kind=EAGER, seq=seq,
-            )
-        )
-        c = self.env.check
-        if c.enabled:
-            c.msg_delivered("oob", nbytes)
-
-    def _eager(self, src, dst, tag, nbytes, payload, seq, request):
-        # Sender serializes onto the wire; once the bytes leave the host the
-        # send is locally complete (buffered at the receiver).
-        yield from self.network.occupy_tx(self.ranks[src], nbytes)
-        request._complete()
-        yield from self.network.deliver(self.ranks[src], self.ranks[dst], nbytes)
-        self.mailboxes[dst].deliver(
-            Envelope(
-                src=src, dst=dst, tag=tag, nbytes=nbytes, payload=payload,
-                kind=EAGER, seq=seq,
-            )
-        )
-        c = self.env.check
-        if c.enabled:
-            c.msg_delivered("eager", nbytes)
 
     def _rendezvous(self, src, dst, tag, nbytes, payload, seq, request):
         cts = self.env.event()
@@ -190,6 +153,132 @@ class Communicator:
         yield from self.network.transfer(self.ranks[src], self.ranks[dst], nbytes)
         request._complete()
         data.succeed(payload)
+
+
+class _EagerSend:
+    """One eager or out-of-band send, driven by callbacks on kernel events.
+
+    An eager send needs no process: nothing waits on its completion and
+    its steps are a fixed chain.  The chain schedules the events a
+    generator process would, in the same order: a start event in the
+    URGENT slot an ``Initialize`` takes, the TX grant, the TX hold (the
+    send completes locally once the bytes leave the host), the wire
+    latency, the loss check, then the RX grant and the RX hold.  A dropped
+    message waits out its backoff and is serialized again; a message that
+    exhausts its retry budget fails an event nobody defuses, so
+    :class:`~repro.mpi.network.LinkFailure` aborts ``env.run`` as a failed
+    process would.  Only the process's completion event is gone.
+
+    An out-of-band send rides the management network: it pays the wire
+    latency but never competes with bulk data for NIC bandwidth and is
+    exempt from injected link faults.  It carries liveness traffic
+    (heartbeats, rejoin notices, write acks): a cluster's fault detector
+    must not suffocate under the very congestion it watches.
+    """
+
+    __slots__ = (
+        "comm", "net", "src", "dst", "gsrc", "gdst", "tag", "nbytes",
+        "payload", "seq", "request", "tx_nic", "rx_nic", "slot", "attempt",
+    )
+
+    def __init__(
+        self, comm: Communicator, src: int, dst: int, tag: int, nbytes: int,
+        payload: Any, seq: int, request: SendRequest, oob: bool,
+    ) -> None:
+        self.comm = comm
+        self.net = net = comm.network
+        self.src = src
+        self.dst = dst
+        self.gsrc = comm.ranks[src]
+        self.gdst = comm.ranks[dst]
+        self.tag = tag
+        self.nbytes = nbytes
+        self.payload = payload
+        self.seq = seq
+        self.request = request
+        self.tx_nic = net.nic(self.gsrc)
+        self.rx_nic = net.nic(self.gdst)
+        self.slot = None
+        self.attempt = 0
+        env = comm.env
+        start = Event(env)
+        start._ok = True
+        start._value = None
+        start.callbacks.append(self._fly_oob if oob else self._transmit)
+        env.schedule(start, priority=URGENT)
+
+    # -- eager ----------------------------------------------------------------
+    def _transmit(self, _event) -> None:
+        slot = self.tx_nic.tx.request()
+        self.slot = slot
+        slot.callbacks.append(self._hold_tx)
+
+    def _hold_tx(self, _event) -> None:
+        net = self.net
+        net.env.timeout(net.hold_time(self.nbytes)).callbacks.append(self._sent)
+
+    def _sent(self, _event) -> None:
+        net = self.net
+        self.tx_nic.tx.release(self.slot)
+        net.count_tx(self.tx_nic, self.gsrc, self.nbytes)
+        if not self.attempt:
+            # Buffered at the receiver: locally complete once sent.
+            self.request._complete()
+        net.env.timeout(net.config.latency_s).callbacks.append(self._crossed)
+
+    def _crossed(self, _event) -> None:
+        net = self.net
+        spec = net.dropped_by(self.gsrc, self.gdst, self.nbytes)
+        if spec is None:
+            slot = self.rx_nic.rx.request()
+            self.slot = slot
+            slot.callbacks.append(self._hold_rx)
+            return
+        self.attempt += 1
+        try:
+            net.check_retry_budget(
+                spec, self.attempt, self.gsrc, self.gdst, self.nbytes
+            )
+        except LinkFailure as failure:
+            net.env.event().fail(failure)
+            return
+        net.env.timeout(
+            LinkFaults.retransmit_delay(spec, self.attempt)
+        ).callbacks.append(self._retransmit)
+
+    def _retransmit(self, _event) -> None:
+        self.net.count_retransmit(self.gsrc, self.gdst)
+        self._transmit(None)
+
+    def _hold_rx(self, _event) -> None:
+        net = self.net
+        net.env.timeout(net.hold_time(self.nbytes)).callbacks.append(self._received)
+
+    def _received(self, _event) -> None:
+        self.rx_nic.rx.release(self.slot)
+        self.net.count_rx(self.rx_nic, self.gdst, self.nbytes)
+        self._arrive("eager")
+
+    # -- out of band ------------------------------------------------------------
+    def _fly_oob(self, _event) -> None:
+        net = self.net
+        net.env.timeout(net.config.latency_s).callbacks.append(self._landed_oob)
+
+    def _landed_oob(self, _event) -> None:
+        self.request._complete()
+        self._arrive("oob")
+
+    def _arrive(self, kind: str) -> None:
+        comm = self.comm
+        comm.mailboxes[self.dst].deliver(
+            Envelope(
+                src=self.src, dst=self.dst, tag=self.tag, nbytes=self.nbytes,
+                payload=self.payload, kind=EAGER, seq=self.seq,
+            )
+        )
+        c = comm.env.check
+        if c.enabled:
+            c.msg_delivered(kind, self.nbytes)
 
 
 class RankComm:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..sim import Environment
-from .constants import EAGER, RENDEZVOUS_RTS
+from .constants import ANY_SOURCE, ANY_TAG, EAGER, RENDEZVOUS_RTS
 from .message import Envelope, Status
 from .request import RecvRequest
 
@@ -39,9 +39,16 @@ class Mailbox:
             raise ValueError(
                 f"Envelope for rank {envelope.dst} delivered to mailbox {self.rank}"
             )
-        for recv in self.posted:
-            if envelope.matches(recv.source, recv.tag):
-                self.posted.remove(recv)
+        src = envelope.src
+        tag = envelope.tag
+        posted = self.posted
+        for i, recv in enumerate(posted):
+            r_source = recv.source
+            r_tag = recv.tag
+            if (r_source == src or r_source == ANY_SOURCE) and (
+                r_tag == tag or r_tag == ANY_TAG
+            ):
+                del posted[i]
                 self._match(recv, envelope)
                 return
         self.unexpected.append(envelope)
@@ -49,12 +56,11 @@ class Mailbox:
     # -- receive side ------------------------------------------------------
     def post(self, recv: RecvRequest) -> None:
         """A receive was posted; match against unexpected messages first."""
-        for envelope in self.unexpected:
-            if envelope.matches(recv.source, recv.tag):
-                self.unexpected.remove(envelope)
-                self._match(recv, envelope)
-                return
-        self.posted.append(recv)
+        i = self._find(recv.source, recv.tag)
+        if i < 0:
+            self.posted.append(recv)
+        else:
+            self._match(recv, self.unexpected.pop(i))
 
     def unpost(self, recv: RecvRequest) -> None:
         try:
@@ -64,12 +70,22 @@ class Mailbox:
 
     def probe(self, source: int, tag: int) -> Optional[Status]:
         """Nonblocking probe: status of the first matching arrived envelope."""
-        for envelope in self.unexpected:
-            if envelope.matches(source, tag):
-                return envelope.status
-        return None
+        i = self._find(source, tag)
+        return None if i < 0 else self.unexpected[i].status
 
     # -- internals ---------------------------------------------------------
+    def _find(self, source: int, tag: int) -> int:
+        """Index of the earliest unexpected envelope matching (source, tag),
+        or -1."""
+        any_source = source == ANY_SOURCE
+        any_tag = tag == ANY_TAG
+        for i, envelope in enumerate(self.unexpected):
+            if (any_source or envelope.src == source) and (
+                any_tag or envelope.tag == tag
+            ):
+                return i
+        return -1
+
     def _match(self, recv: RecvRequest, envelope: Envelope) -> None:
         recv._matched = True
         if envelope.kind == EAGER:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
-from .constants import EAGER
+from .constants import ANY_SOURCE, ANY_TAG, EAGER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Event
@@ -20,7 +20,7 @@ class Status:
     nbytes: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Envelope:
     """A message (or rendezvous header) as seen by the matching engine.
 
@@ -28,7 +28,9 @@ class Envelope:
     already been buffered at the receiver) or
     :data:`~repro.mpi.constants.RENDEZVOUS_RTS` (only the header arrived;
     ``cts_event`` unblocks the sender's payload transfer and ``data_event``
-    fires once the payload lands).
+    fires once the payload lands).  Envelopes compare by identity: two
+    messages with equal fields are still two messages, and nothing
+    compares payloads by value.
     """
 
     src: int
@@ -43,8 +45,6 @@ class Envelope:
 
     def matches(self, source: int, tag: int) -> bool:
         """Does this envelope satisfy a receive posted for (source, tag)?"""
-        from .constants import ANY_SOURCE, ANY_TAG
-
         source_ok = source == ANY_SOURCE or source == self.src
         tag_ok = tag == ANY_TAG or tag == self.tag
         return source_ok and tag_ok

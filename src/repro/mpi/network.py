@@ -364,8 +364,9 @@ class FlowScheduler:
 class Network:
     """Owns per-rank NICs and provides the transfer primitives.
 
-    The MPI layer composes these primitives into eager/rendezvous protocol
-    processes; the network itself knows nothing about matching.
+    The MPI layer composes these primitives into its send protocols (the
+    eager callback chain reuses the accounting and loss helpers); the
+    network itself knows nothing about matching.
     """
 
     def __init__(self, env: Environment, nranks: int, config: NetworkConfig) -> None:
@@ -403,9 +404,23 @@ class Network:
         nic = self.nic(src)
         with nic.tx.request() as req:
             yield req
-            yield self.env.timeout(
-                self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
-            )
+            yield self.env.timeout(self.hold_time(nbytes))
+        self.count_tx(nic, src, nbytes)
+
+    def occupy_rx(self, dst: int, nbytes: int):
+        """Process fragment: hold dst's RX channel for the wire time."""
+        nic = self.nic(dst)
+        with nic.rx.request() as req:
+            yield req
+            yield self.env.timeout(self.hold_time(nbytes))
+        self.count_rx(nic, dst, nbytes)
+
+    def hold_time(self, nbytes: int) -> float:
+        """How long one message holds a NIC TX or RX channel."""
+        return self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
+
+    def count_tx(self, nic: Nic, src: int, nbytes: int) -> None:
+        """Account one message that left ``src`` through ``nic``."""
         nic.stats.tx_messages += 1
         nic.stats.tx_bytes += nbytes
         m = self.env.metrics
@@ -415,14 +430,8 @@ class Network:
         if c.enabled:
             c.nic_tx(nbytes)
 
-    def occupy_rx(self, dst: int, nbytes: int):
-        """Process fragment: hold dst's RX channel for the wire time."""
-        nic = self.nic(dst)
-        with nic.rx.request() as req:
-            yield req
-            yield self.env.timeout(
-                self.config.serialization_time(nbytes) + self.config.cpu_overhead_s
-            )
+    def count_rx(self, nic: Nic, dst: int, nbytes: int) -> None:
+        """Account one message that landed at ``dst`` through ``nic``."""
         nic.stats.rx_messages += 1
         nic.stats.rx_bytes += nbytes
         m = self.env.metrics
@@ -436,7 +445,7 @@ class Network:
         """Process fragment: one-way propagation delay."""
         yield self.env.timeout(self.config.latency_s)
 
-    def _dropped_by(self, src: int, dst: int, nbytes: int):
+    def dropped_by(self, src: int, dst: int, nbytes: int):
         """The loss window that dropped this crossing, or None; counts it."""
         faults = self.faults
         if faults is None:
@@ -453,7 +462,7 @@ class Network:
             c.wire_drop(nbytes)
         return spec
 
-    def _check_retry_budget(
+    def check_retry_budget(
         self, spec, attempt: int, src: int, dst: int, nbytes: int
     ) -> None:
         """Raise :class:`LinkFailure` once ``attempt`` exhausts the budget."""
@@ -467,7 +476,7 @@ class Network:
             f"message {src}->{dst} ({nbytes} B) lost {attempt} times; giving up"
         )
 
-    def _count_retransmit(self, src: int, dst: int) -> None:
+    def count_retransmit(self, src: int, dst: int) -> None:
         self.faults.stats.retransmits += 1
         m = self.env.metrics
         if m.enabled:
@@ -486,14 +495,14 @@ class Network:
         attempt = 0
         while True:
             yield from self.wire_latency()
-            spec = self._dropped_by(src, dst, nbytes)
+            spec = self.dropped_by(src, dst, nbytes)
             if spec is None:
                 yield from self.occupy_rx(dst, nbytes)
                 return
             attempt += 1
-            self._check_retry_budget(spec, attempt, src, dst, nbytes)
+            self.check_retry_budget(spec, attempt, src, dst, nbytes)
             yield self.env.timeout(LinkFaults.retransmit_delay(spec, attempt))
-            self._count_retransmit(src, dst)
+            self.count_retransmit(src, dst)
             yield from self.occupy_tx(src, nbytes)
 
     def _fluid_transfer(self, src: int, dst: int, nbytes: int):
@@ -525,30 +534,17 @@ class Network:
         while True:
             yield env.timeout(self.config.cpu_overhead_s)
             yield from flows.run_flow(src_nic.nic_id, dst_nic.nic_id, nbytes)
-            src_nic.stats.tx_messages += 1
-            src_nic.stats.tx_bytes += nbytes
-            if m.enabled:
-                m.inc("mpi.nic_tx_bytes", float(nbytes), nic=src_nic.nic_id, rank=src)
-            c = env.check
-            if c.enabled:
-                c.nic_tx(nbytes)
+            self.count_tx(src_nic, src, nbytes)
             yield from self.wire_latency()
-            spec = self._dropped_by(src, dst, nbytes)
+            spec = self.dropped_by(src, dst, nbytes)
             if spec is None:
                 yield env.timeout(self.config.cpu_overhead_s)
-                dst_nic.stats.rx_messages += 1
-                dst_nic.stats.rx_bytes += nbytes
-                if m.enabled:
-                    m.inc(
-                        "mpi.nic_rx_bytes", float(nbytes), nic=dst_nic.nic_id, rank=dst
-                    )
-                if c.enabled:
-                    c.nic_rx(nbytes)
+                self.count_rx(dst_nic, dst, nbytes)
                 return
             attempt += 1
-            self._check_retry_budget(spec, attempt, src, dst, nbytes)
+            self.check_retry_budget(spec, attempt, src, dst, nbytes)
             yield env.timeout(LinkFaults.retransmit_delay(spec, attempt))
-            self._count_retransmit(src, dst)
+            self.count_retransmit(src, dst)
 
     def transfer(self, src: int, dst: int, nbytes: int):
         """Process fragment: full point-to-point transfer src → dst.
@@ -583,11 +579,11 @@ class Network:
                 yield slot
                 yield from self.occupy_tx(src, nbytes)
                 yield from self.wire_latency()
-                spec = self._dropped_by(src, dst, nbytes)
+                spec = self.dropped_by(src, dst, nbytes)
                 if spec is None:
                     yield from self.occupy_rx(dst, nbytes)
                     return
             attempt += 1
-            self._check_retry_budget(spec, attempt, src, dst, nbytes)
+            self.check_retry_budget(spec, attempt, src, dst, nbytes)
             yield self.env.timeout(LinkFaults.retransmit_delay(spec, attempt))
-            self._count_retransmit(src, dst)
+            self.count_retransmit(src, dst)

@@ -9,6 +9,7 @@ uniform size within the box.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -47,16 +48,24 @@ class BoxHistogram:
     def from_boxes(cls, boxes: Sequence[Sequence]) -> "BoxHistogram":
         return cls(tuple((int(l), int(h), float(w)) for l, h, w in boxes))
 
+    @cached_property
+    def _tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Box probabilities, lows and highs, built on first use and kept:
+        ``sample`` runs once per result batch."""
+        weights = np.array([w for _, _, w in self.boxes], dtype=float)
+        lows = np.array([l for l, _, _ in self.boxes], dtype=np.int64)
+        highs = np.array([h for _, h, _ in self.boxes], dtype=np.int64)
+        return weights / weights.sum(), lows, highs
+
     def total_weight(self) -> float:
         return sum(w for _, _, w in self.boxes)
 
     def probabilities(self) -> np.ndarray:
-        weights = np.array([w for _, _, w in self.boxes], dtype=float)
-        return weights / weights.sum()
+        return self._tables[0].copy()
 
     def mean(self) -> float:
         """Expected sample size."""
-        probs = self.probabilities()
+        probs = self._tables[0]
         mids = np.array([(l + h) / 2 for l, h, _ in self.boxes])
         return float(probs @ mids)
 
@@ -74,10 +83,10 @@ class BoxHistogram:
             raise ValueError("count must be non-negative")
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-        probs = self.probabilities()
+        probs, box_lows, box_highs = self._tables
         box_idx = rng.choice(len(self.boxes), size=count, p=probs)
-        lows = np.array([l for l, _, _ in self.boxes], dtype=np.int64)[box_idx]
-        highs = np.array([h for _, h, _ in self.boxes], dtype=np.int64)[box_idx]
+        lows = box_lows[box_idx]
+        highs = box_highs[box_idx]
         # integers() high bound is exclusive.
         return rng.integers(lows, highs + 1, dtype=np.int64)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,7 +84,14 @@ class ResultModel:
 
 
 class ResultGenerator:
-    """Produces :class:`ResultBatch` objects deterministically."""
+    """Produces :class:`ResultBatch` objects deterministically.
+
+    Every batch it builds leaves its ``total_bytes`` in a per-instance
+    memo, and :meth:`query_total_bytes` reads the memo before building a
+    batch again: a run's expected file size then costs nothing for the
+    batches its workers already searched.  The memo is one int64 row per
+    query (``-1`` for a batch not built yet), never the batches themselves.
+    """
 
     def __init__(
         self,
@@ -98,6 +105,7 @@ class ResultGenerator:
         self.model = model
         self._streams = streams.spawn("results")
         self._counts_cache: dict = {}
+        self._bytes: Dict[int, np.ndarray] = {}
 
     # -- counts ------------------------------------------------------------
     def query_result_count(self, query_id: int) -> int:
@@ -117,8 +125,15 @@ class ResultGenerator:
     # -- batches ---------------------------------------------------------------
     def batch(self, query_id: int, fragment_id: int) -> ResultBatch:
         """The results of (query, fragment) — the unit of worker compute."""
+        if not 0 <= fragment_id < self.database.nfragments:
+            # A negative index would wrap onto another fragment's count
+            # and memo slot.
+            raise ValueError(
+                f"fragment {fragment_id} outside [0, {self.database.nfragments})"
+            )
         count = int(self.fragment_counts(query_id)[fragment_id])
         if count == 0:
+            self._bytes_row(query_id)[fragment_id] = 0
             empty = np.zeros(0)
             return ResultBatch(
                 query_id, fragment_id,
@@ -133,15 +148,25 @@ class ResultGenerator:
         sizes = rng.integers(self.model.min_result_size, upper, dtype=np.int64)
         scores = rng.random(count)
         order = np.argsort(-scores, kind="stable")
-        return ResultBatch(query_id, fragment_id, sizes[order], scores[order])
+        batch = ResultBatch(query_id, fragment_id, sizes[order], scores[order])
+        self._bytes_row(query_id)[fragment_id] = batch.total_bytes
+        return batch
+
+    def _bytes_row(self, query_id: int) -> np.ndarray:
+        row = self._bytes.get(query_id)
+        if row is None:
+            row = self._bytes[query_id] = np.full(
+                self.database.nfragments, -1, dtype=np.int64
+            )
+        return row
 
     # -- whole-run aggregates -----------------------------------------------------
     def query_total_bytes(self, query_id: int) -> int:
         """Output volume of one query (sum over fragments)."""
-        return sum(
-            self.batch(query_id, f).total_bytes
-            for f in range(self.database.nfragments)
-        )
+        row = self._bytes_row(query_id)
+        for f in np.flatnonzero(row < 0).tolist():
+            self.batch(query_id, f)
+        return int(row.sum())
 
     def run_total_bytes(self) -> int:
         """Output volume of the whole run — the final file size."""

@@ -4,6 +4,9 @@ import pytest
 
 from repro.core import S3aSim, SimulationConfig
 from repro.faults import FaultPlan, FaultToleranceConfig, MessageLoss
+from repro.mpi import Communicator
+from repro.mpi.network import LinkFailure, LinkFaults, Network, NetworkConfig
+from repro.sim import Environment
 from repro.trace import TraceRecorder
 
 SMALL = dict(nprocs=4, nqueries=4, nfragments=8)
@@ -140,6 +143,59 @@ class TestMessageLoss:
         plan = FaultPlan(message_loss=(MessageLoss(drop_prob=0.3),))
         lossy = S3aSim(cfg.with_(fault_plan=plan)).run().elapsed
         assert lossy > clean
+
+
+class TestLossPathPin:
+    """Eager sends under message loss: drops, backoff and retransmission.
+
+    The values were captured when eager sends still ran as generator
+    processes; the callback chain that drives them now must reproduce
+    the same drops, retransmissions and completion time to the last bit.
+    """
+
+    PLAN = FaultPlan(
+        message_loss=(MessageLoss(drop_prob=0.2, start=0.0, end=10.0),)
+    )
+    #: strategy -> (elapsed, drops, retransmits)
+    PINNED = {
+        "mw": (24.030995365253222, 14, 14),
+        "ww-coll": (21.866235214927148, 32, 32),
+    }
+
+    @pytest.mark.parametrize("strategy", sorted(PINNED))
+    def test_lossy_run_is_pinned(self, strategy):
+        sim = S3aSim(SimulationConfig(strategy=strategy, fault_plan=self.PLAN, **SMALL))
+        result = sim.run()
+        stats = sim.world.network.faults.stats
+        elapsed, drops, retransmits = self.PINNED[strategy]
+        assert result.elapsed == elapsed
+        assert (stats.drops, stats.retransmits, stats.link_failures) == (
+            drops, retransmits, 0
+        )
+        assert result.file_stats.complete
+
+    def test_exhausted_retry_budget_aborts_the_run(self):
+        class AlwaysDrop:
+            def random(self):
+                return 0.0
+
+        env = Environment()
+        network = Network(env, 2, NetworkConfig())
+        network.install_faults(
+            LinkFaults([MessageLoss(drop_prob=0.5, max_retries=3)], AlwaysDrop())
+        )
+        request = Communicator(env, network).view(0).isend(1, 7, 1000, payload="x")
+        with pytest.raises(LinkFailure):
+            env.run()
+        # One send and three retransmissions, all dropped; the send itself
+        # completed locally when its first copy left the host.
+        assert env.now == 0.01404757019292092
+        assert (
+            network.faults.stats.drops,
+            network.faults.stats.retransmits,
+            network.faults.stats.link_failures,
+        ) == (4, 3, 1)
+        assert request.completed
 
 
 class TestExplicitTolerance:

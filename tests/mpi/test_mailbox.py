@@ -1,6 +1,7 @@
 """Mailbox matching engine unit tests (direct, without a network)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, Envelope, Mailbox
 from repro.mpi.constants import EAGER, RENDEZVOUS_RTS
@@ -136,3 +137,88 @@ class TestProbeAndUnpost:
         mailbox.unpost(recv)
         mailbox.unpost(recv)
         assert mailbox.posted == []
+
+
+class TestMatchingProperty:
+    """The mailbox pairs receives and envelopes exactly as a linear scan
+    with :meth:`Envelope.matches` would: earliest-posted receive for an
+    arrival, earliest-arrived envelope for a receive or a probe."""
+
+    SOURCES = st.sampled_from([0, 1, 2, ANY_SOURCE])
+    TAGS = st.sampled_from([0, 1, 2, ANY_TAG])
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("deliver"), st.integers(0, 2), st.integers(0, 2)
+            ),
+            st.tuples(st.just("post"), SOURCES, TAGS),
+            st.tuples(st.just("probe"), SOURCES, TAGS),
+        ),
+        max_size=40,
+    )
+
+    @staticmethod
+    def reference(ops):
+        """(receive index, envelope index) pairs and probe answers of a
+        linear matcher, in the order they happen."""
+        unexpected, posted, events = [], [], []
+        for n, (op, source, tag) in enumerate(ops):
+            if op == "deliver":
+                envelope = Envelope(src=source, dst=1, tag=tag, nbytes=n, payload=n)
+                hit = next(
+                    (r for r in posted if envelope.matches(r[1], r[2])), None
+                )
+                if hit is None:
+                    unexpected.append(envelope)
+                else:
+                    posted.remove(hit)
+                    events.append(("pair", hit[0], n))
+            elif op == "post":
+                hit = next(
+                    (e for e in unexpected if e.matches(source, tag)), None
+                )
+                if hit is None:
+                    posted.append((n, source, tag))
+                else:
+                    unexpected.remove(hit)
+                    events.append(("pair", n, hit.nbytes))
+            else:
+                hit = next(
+                    (e for e in unexpected if e.matches(source, tag)), None
+                )
+                events.append(("probe", n, None if hit is None else hit.nbytes))
+        return events, [e.nbytes for e in unexpected], [r[0] for r in posted]
+
+    @settings(max_examples=300, deadline=None)
+    @given(OPS)
+    def test_matches_linear_reference(self, ops):
+        env = Environment()
+        mailbox = Mailbox(env, rank=1)
+        recvs, events = {}, []
+        for n, (op, source, tag) in enumerate(ops):
+            if op == "deliver":
+                mailbox.deliver(make_envelope(
+                    env, src=source, dst=1, tag=tag, nbytes=n, payload=n
+                ))
+            elif op == "post":
+                recvs[n] = RecvRequest(env, source, tag, mailbox)
+                mailbox.post(recvs[n])
+            else:
+                status = mailbox.probe(source, tag)
+                events.append(("probe", n, None if status is None else status.nbytes))
+            # A match completes its receive at once, so a new pairing is
+            # visible right after the operation that made it.
+            for index, recv in list(recvs.items()):
+                if recv.completed:
+                    events.append(("pair", index, recv.done_event.value))
+                    del recvs[index]
+        expected_events, expected_unexpected, expected_posted = self.reference(ops)
+        assert events == expected_events
+        assert [e.nbytes for e in mailbox.unexpected] == expected_unexpected
+        index_of = {id(recv): n for n, recv in recvs.items()}
+        assert [index_of[id(recv)] for recv in mailbox.posted] == expected_posted
+
+    def test_envelopes_compare_by_identity(self, env):
+        a = make_envelope(env)
+        b = make_envelope(env)
+        assert a == a and a != b
